@@ -234,19 +234,23 @@ commands:
 		id := mustID(args, 0)
 		name := arg(args, 1)
 		key := bitpath.HashKey(name, *keybits)
+		// The responsible peer the search reaches reads the entry and
+		// returns it with the search result.
 		resp := mustCall(tr, id, &wire.Message{Kind: wire.KindQuery, From: addr.Nil,
-			Query: &wire.QueryReq{Key: key}})
-		if !resp.QueryResp.Found {
+			Query: &wire.QueryReq{Key: key, Fetch: &wire.GetReq{Key: key, Name: name}}})
+		q := resp.QueryResp
+		if !q.Found {
 			log.Fatalf("no responsible peer reachable for %q", name)
 		}
-		got := mustCall(tr, resp.QueryResp.Peer, &wire.Message{Kind: wire.KindGet, From: addr.Nil,
-			Get: &wire.GetReq{Key: key, Name: name}})
-		if !got.GetResp.Found {
-			log.Fatalf("%q not indexed (asked peer %v)", name, resp.QueryResp.Peer)
+		if q.Fetched == nil {
+			log.Fatalf("peer %v answered the lookup without the entry", q.Peer)
 		}
-		e := got.GetResp.Entry
+		if !q.Fetched.Found {
+			log.Fatalf("%q not indexed (asked peer %v)", name, q.Peer)
+		}
+		e := q.Fetched.Entry
 		fmt.Printf("%q → hosted by peer %v (key %s, version %d), %d routing messages\n",
-			name, e.Holder, e.Key, e.Version, resp.QueryResp.Messages)
+			name, e.Holder, e.Key, e.Version, q.Messages)
 
 	case "publishall":
 		id := mustID(args, 0)

@@ -155,7 +155,7 @@ func TestChaosRepairSoak(t *testing.T) {
 					}
 				}
 			}
-			if k := n.Store().CountOutside(s.Path); k != 0 {
+			if k := len(n.Store().Outside(s.Path)); k != 0 {
 				return fmt.Sprintf("peer %d (%s): %d entries outside path", s.Addr, s.Path, k)
 			}
 			for _, b := range s.Buddies.Slice() {

@@ -213,44 +213,35 @@ type ReadResult struct {
 	Queries  int
 }
 
-// readOnce routes a query via the peer at start and fetches the entry from
-// the responsible peer found. Its round-trip time feeds the latency window
-// the hedge threshold is computed over.
+// readOnce routes a query via the peer at start; the responsible peer the
+// search reaches reads the entry and returns it with the search result, so
+// a read costs 1 + hops messages (core.ReadOnce's count plus the
+// client→entry hop). Its round-trip time feeds the latency window the
+// hedge threshold is computed over.
 func (c *Client) readOnce(start addr.Addr, key bitpath.Path, name string) (ReadResult, addr.Addr) {
 	began := time.Now()
 	defer func() { c.recordLatency(time.Since(began)) }()
 	var out ReadResult
 	out.Queries = 1
 	resp, err := c.tr.Call(start, &wire.Message{Kind: wire.KindQuery, From: addr.Nil,
-		Query: &wire.QueryReq{Key: key}})
+		Query: &wire.QueryReq{Key: key, Fetch: &wire.GetReq{Key: key, Name: name}}})
 	if err != nil {
 		return out, addr.Nil
 	}
-	if resp.QueryResp == nil {
+	q := resp.QueryResp
+	if q == nil || (q.Found && q.Fetched == nil) {
 		c.tel.MalformedResponse("query")
 		return out, addr.Nil
 	}
-	out.Messages += 1 + resp.QueryResp.Messages
-	if !resp.QueryResp.Found {
+	out.Messages += 1 + q.Messages
+	if !q.Found {
 		return out, addr.Nil
 	}
-	replica := resp.QueryResp.Peer
-	got, err := c.tr.Call(replica, &wire.Message{Kind: wire.KindGet, From: addr.Nil,
-		Get: &wire.GetReq{Key: key, Name: name}})
-	if err != nil {
-		return out, addr.Nil
+	if q.Fetched.Found {
+		out.Entry = q.Fetched.Entry
+		out.Found = true
 	}
-	if got.GetResp == nil {
-		c.tel.MalformedResponse("get")
-		return out, addr.Nil
-	}
-	out.Messages++
-	if !got.GetResp.Found {
-		return out, replica
-	}
-	out.Entry = got.GetResp.Entry
-	out.Found = true
-	return out, replica
+	return out, q.Peer
 }
 
 // recordLatency pushes one readOnce round trip into the ring the hedge

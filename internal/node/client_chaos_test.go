@@ -22,7 +22,7 @@ import (
 type malformTransport struct {
 	inner Transport
 	kind  wire.Kind
-	mode  string // "nilpayload", "wrongkind", "corrupt", "offline"
+	mode  string // "nilpayload", "wrongkind", "corrupt", "offline", "nofetch"
 }
 
 func (m *malformTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Message, error) {
@@ -39,6 +39,13 @@ func (m *malformTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Message,
 		return nil, fmt.Errorf("%w: injected", wire.ErrCorrupt)
 	case "offline":
 		return nil, fmt.Errorf("%w: injected", ErrOffline)
+	case "nofetch":
+		if resp.QueryResp == nil {
+			return resp, nil
+		}
+		q := *resp.QueryResp
+		q.Fetched = nil
+		return &wire.Message{Kind: resp.Kind, From: resp.From, QueryResp: &q}, nil
 	default:
 		panic("unknown malform mode " + m.mode)
 	}
@@ -110,14 +117,14 @@ func TestClientMalformedResponses(t *testing.T) {
 				t.Errorf("lookup trusted a malformed query response: %+v", res)
 			}
 		}},
-		{"lookup get stripped", wire.KindGet, "nilpayload", "get", func(t *testing.T, cl *Client) {
+		{"lookup query found without fetched", wire.KindQuery, "nofetch", "query", func(t *testing.T, cl *Client) {
 			if res := cl.Lookup(start, key, "f"); res.Found {
-				t.Errorf("lookup trusted a malformed get response: %+v", res)
+				t.Errorf("lookup trusted a found query response without the entry: %+v", res)
 			}
 		}},
-		{"replica dies before get", wire.KindGet, "offline", "", func(t *testing.T, cl *Client) {
-			if res := cl.Lookup(start, key, "f"); res.Found {
-				t.Errorf("lookup returned entry from a dead replica: %+v", res)
+		{"entry peer dies before answering", wire.KindQuery, "offline", "", func(t *testing.T, cl *Client) {
+			if res := cl.Lookup(start, key, "f"); res.Found || res.Messages != 0 {
+				t.Errorf("lookup through a dead entry peer: %+v", res)
 			}
 		}},
 	}

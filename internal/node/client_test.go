@@ -2,12 +2,14 @@ package node
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
 	"pgrid/internal/core"
 	"pgrid/internal/store"
+	"pgrid/internal/wire"
 )
 
 // builtCluster returns a converged in-process cluster plus a client.
@@ -58,6 +60,57 @@ func TestClientPublishAndLookup(t *testing.T) {
 	}
 	if !res.Found || res.Entry.Holder != 3 {
 		t.Fatalf("lookup = %+v", res)
+	}
+}
+
+// kindCounter counts the requests a client sends, per kind.
+type kindCounter struct {
+	inner Transport
+	mu    sync.Mutex
+	n     map[wire.Kind]int
+}
+
+func (k *kindCounter) Call(to addr.Addr, msg *wire.Message) (*wire.Message, error) {
+	k.mu.Lock()
+	k.n[msg.Kind]++
+	k.mu.Unlock()
+	return k.inner.Call(to, msg)
+}
+
+// TestClientLookupFetchRidesQuery pins the read cost model: the responsible
+// peer returns the entry with the search result, so a lookup sends no
+// KindGet and its Messages equals the requests the transport delivered —
+// the client→entry call plus every routed hop.
+func TestClientLookupFetchRidesQuery(t *testing.T) {
+	c, _ := builtCluster(t, 64, smallCfg(), 7)
+	maxl := smallCfg().MaxL
+	var keys []bitpath.Path
+	for v := 0; v < 1<<maxl; v++ {
+		k := bitpath.FromUint(uint64(v), maxl)
+		keys = append(keys, k)
+		e := store.Entry{Key: k, Name: "doc", Holder: addr.Addr(v), Version: 1}
+		for _, n := range c.Nodes {
+			if bitpath.Comparable(n.Path(), k) {
+				n.Store().Apply(e)
+			}
+		}
+	}
+	kc := &kindCounter{inner: c.Transport, n: map[wire.Kind]int{}}
+	cl := NewClient(kc, 107)
+	for i, k := range keys {
+		start := c.Nodes[(i*11)%len(c.Nodes)].Addr()
+		before := c.Transport.Messages()
+		res := cl.Lookup(start, k, "doc")
+		delivered := int(c.Transport.Messages() - before)
+		if !res.Found || res.Entry.Key != k || res.Entry.Holder != addr.Addr(i) {
+			t.Fatalf("lookup %s from %v = %+v", k, start, res)
+		}
+		if res.Messages != delivered {
+			t.Errorf("lookup %s: Messages = %d, transport delivered %d", k, res.Messages, delivered)
+		}
+	}
+	if kc.n[wire.KindGet] != 0 || kc.n[wire.KindQuery] != len(keys) {
+		t.Errorf("client sent %d gets and %d queries for %d lookups", kc.n[wire.KindGet], kc.n[wire.KindQuery], len(keys))
 	}
 }
 

@@ -371,7 +371,12 @@ func (n *Node) routeQuery(q *wire.QueryReq, path bitpath.Path, l int, span *trac
 		if tracing {
 			span.Matched = true
 		}
-		return &wire.QueryResp{Found: true, Peer: n.Addr(), Path: path}
+		resp := &wire.QueryResp{Found: true, Peer: n.Addr(), Path: path}
+		if f := q.Fetch; f != nil {
+			e, ok := n.Store().Get(f.Key, f.Name)
+			resp.Fetched = &wire.GetResp{Entry: e, Found: ok}
+		}
+		return resp
 	}
 
 	resp := &wire.QueryResp{}
@@ -385,7 +390,7 @@ func (n *Node) routeQuery(q *wire.QueryReq, path bitpath.Path, l int, span *trac
 			n.mu.Unlock()
 			down, err := n.tr.Call(r, &wire.Message{
 				Kind: wire.KindQuery, From: n.Addr(),
-				Query: &wire.QueryReq{Key: querypath, Level: l + compath.Len(), Ctx: childCtx},
+				Query: &wire.QueryReq{Key: querypath, Level: l + compath.Len(), Ctx: childCtx, Fetch: q.Fetch},
 			})
 			n.tel.RefLiveness(l+compath.Len()+1, err == nil && down.QueryResp != nil)
 			if err != nil || down.QueryResp == nil {
@@ -400,6 +405,7 @@ func (n *Node) routeQuery(q *wire.QueryReq, path bitpath.Path, l int, span *trac
 				resp.Found = true
 				resp.Peer = down.QueryResp.Peer
 				resp.Path = down.QueryResp.Path
+				resp.Fetched = down.QueryResp.Fetched
 				if tracing {
 					span.Ref = r
 				}
@@ -465,35 +471,56 @@ func (n *Node) applyExchange(from addr.Addr, r *wire.ExchangeResp, depth int) {
 			e.AddBuddy(from)
 		}
 	})
-	if stale {
-		return
+	if !stale && r.Extend {
+		n.handOver(from, r.BasePath.Append(r.ExtendBit))
 	}
-	// Hand over entries that left our narrowed region, and install the
-	// responder's handover.
-	if r.Extend {
-		keep := r.BasePath.Append(r.ExtendBit)
-		if evicted := n.Store().Evict(keep); len(evicted) > 0 {
-			// Best-effort: the responder covers the vacated side. Every
-			// push targets the same peer, so the whole handover rides one
-			// batch frame; a peer that cannot serve batches (or an error
-			// mid-flight) gets the sequential per-entry pushes instead.
-			msgs := make([]wire.Message, len(evicted))
-			for i, entry := range evicted {
-				msgs[i] = wire.Message{Kind: wire.KindApply, From: n.Addr(),
-					Apply: &wire.ApplyReq{Entry: entry}}
-			}
-			if _, err := callBatch(n.tr, from, n.Addr(), msgs); err != nil {
-				for i := range msgs {
-					n.tr.Call(from, &msgs[i])
-				}
-			}
-		}
-	}
+	// The responder evicted its handover before answering, so it is
+	// installed even when the decision itself is stale: dropping it would
+	// leave the entries nowhere. Entries outside a path that moved on are
+	// orphans that repair rehomes.
 	for _, entry := range r.Handover {
 		n.Store().Apply(entry)
 	}
+	if stale {
+		return
+	}
 	for _, fwd := range r.ForwardTo {
 		n.exchange(fwd, depth+1) // unreachable targets just fail silently
+	}
+}
+
+// handOver pushes the entries outside keep — the region this node gave up
+// by specializing — to the partner that took the other side, and releases
+// each entry only once the partner acknowledged its Apply. Every push
+// targets the same peer, so the whole handover rides one batch frame;
+// entries the batch did not land (a peer that cannot serve batches, an
+// error mid-flight, a failed slot) are retried one by one. An entry that
+// still fails stays stored here, outside the node's path, where repair's
+// orphan rehome finds it later.
+func (n *Node) handOver(to addr.Addr, keep bitpath.Path) {
+	outside := n.Store().Outside(keep)
+	if len(outside) == 0 {
+		return
+	}
+	msgs := make([]wire.Message, len(outside))
+	for i, entry := range outside {
+		msgs[i] = wire.Message{Kind: wire.KindApply, From: n.Addr(),
+			Apply: &wire.ApplyReq{Entry: entry}}
+	}
+	acked := make([]bool, len(msgs))
+	if resps, err := callBatch(n.tr, to, n.Addr(), msgs); err == nil {
+		for i := range resps {
+			acked[i] = resps[i].ApplyResp != nil
+		}
+	}
+	for i := range msgs {
+		if !acked[i] {
+			resp, err := n.tr.Call(to, &msgs[i])
+			acked[i] = err == nil && resp.ApplyResp != nil
+		}
+		if acked[i] {
+			n.Store().Release(outside[i])
+		}
 	}
 }
 

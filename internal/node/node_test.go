@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
@@ -169,6 +170,88 @@ func TestDataHandoverOnNetworkSplit(t *testing.T) {
 	}
 	if _, ok := c.Nodes[0].Store().Get(left.Key, "l"); !ok {
 		t.Error("node 0 lost its own entry")
+	}
+}
+
+// dropKinds refuses requests of the listed kinds before delivery, as if
+// the target were unreachable for them, and passes everything else.
+type dropKinds struct {
+	inner Transport
+	mu    sync.Mutex
+	kinds map[wire.Kind]bool
+}
+
+func (d *dropKinds) Call(to addr.Addr, msg *wire.Message) (*wire.Message, error) {
+	d.mu.Lock()
+	drop := d.kinds[msg.Kind]
+	d.mu.Unlock()
+	if drop {
+		return nil, ErrOffline
+	}
+	return d.inner.Call(to, msg)
+}
+
+// TestSplitHandoverSurvivesFailedPush is the entry-conservation regression
+// for a split whose handover push fails: the Exchange call succeeds but
+// every Apply and Batch the initiator sends is lost. The out-of-region
+// entry must stay with the initiator (and repair must rehome it once the
+// partner is reachable again) instead of vanishing.
+func TestSplitHandoverSurvivesFailedPush(t *testing.T) {
+	lt := NewLocalTransport()
+	drop := &dropKinds{inner: lt, kinds: map[wire.Kind]bool{wire.KindApply: true, wire.KindBatch: true}}
+	n0 := New(0, smallCfg(), drop, 1)
+	n1 := New(1, smallCfg(), lt, 2)
+	lt.Register(n0)
+	lt.Register(n1)
+	right := store.Entry{Key: bitpath.MustParse("10"), Name: "r", Holder: 0, Version: 1}
+	left := store.Entry{Key: bitpath.MustParse("00"), Name: "l", Holder: 1, Version: 1}
+	n0.Store().Apply(right)
+	n1.Store().Apply(left)
+
+	if err := n0.Exchange(1); err != nil {
+		t.Fatal(err)
+	}
+	if n0.Path() != "0" || n1.Path() != "1" {
+		t.Fatalf("paths = %q, %q", n0.Path(), n1.Path())
+	}
+	if _, ok := n0.Store().Get(right.Key, right.Name); !ok {
+		t.Error("unacknowledged handover entry was evicted: its only copy is gone")
+	}
+	if _, ok := n0.Store().Get(left.Key, left.Name); !ok {
+		t.Error("responder's handover entry did not reach the initiator")
+	}
+
+	drop.mu.Lock()
+	drop.kinds = nil
+	drop.mu.Unlock()
+	NewRepairer(n0, time.Second, RepairConfig{Budget: 16}, 3).Tick()
+	if _, ok := n1.Store().Get(right.Key, right.Name); !ok {
+		t.Error("repair did not rehome the stranded entry to its responsible peer")
+	}
+	if len(n0.Store().Outside(n0.Path())) != 0 {
+		t.Error("initiator kept the entry after its rehome was acknowledged")
+	}
+}
+
+// TestStaleExchangeKeepsHandover: the responder evicts its handover before
+// answering, so an initiator whose path moved on meanwhile (a concurrent
+// exchange) must still install the entries rather than drop the only copy.
+func TestStaleExchangeKeepsHandover(t *testing.T) {
+	c := NewCluster(2, smallCfg(), 11)
+	n0, n1 := c.Nodes[0], c.Nodes[1]
+	e := store.Entry{Key: bitpath.MustParse("00"), Name: "l", Holder: 1, Version: 1}
+	n1.Store().Apply(e)
+
+	resp := n1.handleExchange(n0.Addr(), &wire.ExchangeReq{Path: n0.Path()})
+	if len(resp.Handover) != 1 {
+		t.Fatalf("fixture: handover = %v", resp.Handover)
+	}
+	if !n0.Peer().ExtendFrom(bitpath.Empty, 1, addr.NewSet()) {
+		t.Fatal("fixture: concurrent extend failed")
+	}
+	n0.applyExchange(n1.Addr(), resp, 0)
+	if _, ok := n0.Store().Get(e.Key, e.Name); !ok {
+		t.Error("stale initiator dropped the responder's handover")
 	}
 }
 

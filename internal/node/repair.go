@@ -364,37 +364,38 @@ func (r *Repairer) Tick() {
 	}
 
 	// Phase 3 — data. Entries stored outside the node's path are orphans
-	// (a leftover of a healed path flip, or a misdirected insert): evict
-	// them and route each back to its responsible peer, best effort within
-	// the budget. Then compare store fingerprints within the replica
-	// group: the majority hash steers anti-entropy — a minority node pulls
-	// the partition's entries from a majority member, a majority node
-	// pushes its entries at divergent members; with no majority the node
-	// merges pairwise with the first divergent member. All syncs are
-	// unions (Apply keeps the fresher version), so they commute and
-	// converge.
-	if n.Store().CountOutside(path) > 0 {
-		for _, e := range n.Store().Evict(path) {
-			fault(repair.FaultOrphanEntry)
-			heal(repair.ActionEvictEntry, 0, addr.Nil)
-			if spent >= r.cfg.Budget {
-				unhealed++
-				continue
-			}
-			q := n.handleQuery(&wire.QueryReq{Key: e.Key})
-			charge(q.Messages)
-			if !q.Found || q.Peer == n.Addr() || !spend(1) {
-				unhealed++
-				continue
-			}
-			resp, err := n.tr.Call(q.Peer, &wire.Message{Kind: wire.KindApply, From: n.Addr(),
-				Apply: &wire.ApplyReq{Entry: e}})
-			if err != nil || resp.ApplyResp == nil {
-				unhealed++
-				continue
-			}
-			heal(repair.ActionRehomeEntry, 0, q.Peer)
+	// (a leftover of a healed path flip, a misdirected insert, or a split
+	// handover whose push failed): route each back to its responsible peer
+	// within the budget and evict it once that peer acknowledged the
+	// Apply. An entry that could not be rehomed stays for the next round —
+	// evicting first would lose its only copy. Then compare store
+	// fingerprints within the replica group: the majority hash steers
+	// anti-entropy — a minority node pulls the partition's entries from a
+	// majority member, a majority node pushes its entries at divergent
+	// members; with no majority the node merges pairwise with the first
+	// divergent member. All syncs are unions (Apply keeps the fresher
+	// version), so they commute and converge.
+	for _, e := range n.Store().Outside(path) {
+		fault(repair.FaultOrphanEntry)
+		if spent >= r.cfg.Budget {
+			unhealed++
+			continue
 		}
+		q := n.handleQuery(&wire.QueryReq{Key: e.Key})
+		charge(q.Messages)
+		if !q.Found || q.Peer == n.Addr() || !spend(1) {
+			unhealed++
+			continue
+		}
+		resp, err := n.tr.Call(q.Peer, &wire.Message{Kind: wire.KindApply, From: n.Addr(),
+			Apply: &wire.ApplyReq{Entry: e}})
+		if err != nil || resp.ApplyResp == nil {
+			unhealed++
+			continue
+		}
+		n.Store().Release(e)
+		heal(repair.ActionEvictEntry, 0, addr.Nil)
+		heal(repair.ActionRehomeEntry, 0, q.Peer)
 	}
 	var group []repair.BuddyView
 	for _, v := range views {

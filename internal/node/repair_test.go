@@ -203,7 +203,7 @@ func TestRepairerEvictsAndRehomesOrphanEntries(t *testing.T) {
 	r := NewRepairer(n0, time.Second, RepairConfig{Budget: 64}, 6)
 	r.Tick()
 
-	if n0.Store().CountOutside(n0.Path()) != 0 {
+	if len(n0.Store().Outside(n0.Path())) != 0 {
 		t.Fatal("orphan entry survived eviction")
 	}
 	found := false
@@ -221,6 +221,45 @@ func TestRepairerEvictsAndRehomesOrphanEntries(t *testing.T) {
 	}
 	if tallyOf(st.Heals, repair.ActionEvictEntry) != 1 || tallyOf(st.Heals, repair.ActionRehomeEntry) != 1 {
 		t.Errorf("heals = %+v, want evict-entry and rehome-entry", st.Heals)
+	}
+}
+
+// TestRepairerKeepsOrphanUntilRehomed: an orphan entry whose responsible
+// partition cannot be reached stays where it is — evicting it before the
+// rehome is acknowledged would lose its only copy — and moves once the
+// partition is back.
+func TestRepairerKeepsOrphanUntilRehomed(t *testing.T) {
+	c := repairFixture(t, 37)
+	n0 := c.Nodes[0]
+	e := store.Entry{Key: bitpath.MustParse("10"), Name: "z", Holder: 0, Version: 1}
+	n0.Store().Apply(e)
+	for _, i := range []int{3, 4, 5} {
+		c.Nodes[i].SetOnline(false)
+	}
+	r := NewRepairer(n0, time.Second, RepairConfig{Budget: 64}, 7)
+	r.Tick()
+	if _, ok := n0.Store().Get(e.Key, e.Name); !ok {
+		t.Fatal("orphan entry evicted although no responsible peer acknowledged it")
+	}
+	if st := r.Status(); tallyOf(st.Heals, repair.ActionEvictEntry) != 0 || st.LastUnhealed == 0 {
+		t.Errorf("status after failed rehome = %+v", st)
+	}
+
+	for _, i := range []int{3, 4, 5} {
+		c.Nodes[i].SetOnline(true)
+	}
+	r.Tick()
+	if len(n0.Store().Outside(n0.Path())) != 0 {
+		t.Fatal("orphan entry not evicted after its rehome")
+	}
+	found := false
+	for _, i := range []int{3, 4, 5} {
+		if _, ok := c.Nodes[i].Store().Get(e.Key, e.Name); ok {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("orphan entry was not rehomed once the partition came back")
 	}
 }
 

@@ -2,7 +2,9 @@ package node
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -101,6 +103,69 @@ func TestStateFileLifecycle(t *testing.T) {
 	}
 	if restarted.Store().Len() != c.Nodes[0].Store().Len() {
 		t.Error("index size differs after restart")
+	}
+}
+
+// damagedStateFile saves node's checkpoint, lets damage rewrite its bytes,
+// writes the result back, and loads it into a fresh node of the same
+// identity: the load must fail with ErrStateCorrupt, without panicking
+// and without touching the fresh node's state.
+func damagedStateFile(t *testing.T, n *Node, damage func([]byte) []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "node.state")
+	if err := n.SaveStateFile(path); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, damage(append([]byte(nil), good...)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh := New(n.Addr(), smallCfg(), nil, 1)
+	loaded, err := fresh.LoadStateFile(path)
+	if !errors.Is(err, ErrStateCorrupt) || loaded {
+		t.Fatalf("loaded=%v err=%v, want ErrStateCorrupt", loaded, err)
+	}
+	if fresh.Path() != bitpath.Empty || fresh.Store().Len() != 0 {
+		t.Fatalf("failed load changed the node: path %q, %d entries", fresh.Path(), fresh.Store().Len())
+	}
+}
+
+func stateFixture(t *testing.T) *Node {
+	t.Helper()
+	c := NewCluster(4, smallCfg(), 12)
+	c.Nodes[0].Exchange(1)
+	c.Nodes[0].Store().Apply(store.Entry{Key: bitpath.MustParse("00"), Name: "x", Holder: 1, Version: 1})
+	c.Nodes[0].Store().Host(store.Entry{Key: bitpath.MustParse("01"), Name: "mine", Holder: 0, Version: 1})
+	return c.Nodes[0]
+}
+
+// TestStateTruncatedFile cuts the checkpoint at every length short of
+// whole — inside the header and inside the payload — as a crash mid-write
+// without fsync would.
+func TestStateTruncatedFile(t *testing.T) {
+	n := stateFixture(t)
+	var buf bytes.Buffer
+	if err := n.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < buf.Len(); cut++ {
+		damagedStateFile(t, n, func(b []byte) []byte { return b[:cut] })
+	}
+}
+
+// TestStateBitFlippedFile flips one bit in every byte of the checkpoint in
+// turn: header, length, checksum and payload damage must all be caught.
+func TestStateBitFlippedFile(t *testing.T) {
+	n := stateFixture(t)
+	var buf bytes.Buffer
+	if err := n.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < buf.Len(); i++ {
+		damagedStateFile(t, n, func(b []byte) []byte { b[i] ^= 1 << (i % 8); return b })
 	}
 }
 

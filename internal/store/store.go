@@ -222,20 +222,43 @@ func (s *Store) Evict(keep bitpath.Path) []Entry {
 	return out
 }
 
-// CountOutside reports how many entries do NOT lie under keep — the
-// entries Evict(keep) would remove — without mutating the store. The
-// repair detector uses it to count orphaned entries (data a peer is no
-// longer responsible for) before deciding whether to rehome them.
-func (s *Store) CountOutside(keep bitpath.Path) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
+// Outside returns every entry whose key does NOT have the given prefix —
+// the entries Evict(keep) would remove — sorted, without removing them. A
+// peer handing entries to a partner over the network pushes this copy and
+// Releases each entry only once the partner has acknowledged it, so a
+// failed push leaves the entry where it was instead of nowhere.
+func (s *Store) Outside(keep bitpath.Path) []Entry {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var out []Entry
 	for key, byName := range s.index {
-		if !key.HasPrefix(keep) {
-			n += len(byName)
+		if key.HasPrefix(keep) {
+			continue
+		}
+		for _, e := range byName {
+			out = append(out, e)
 		}
 	}
-	return n
+	sortEntries(out)
+	return out
+}
+
+// Release removes the entry for (e.Key, e.Name) unless the store holds a
+// fresher version than e, and reports whether it removed one. It is the
+// second half of a handover: a fresher version that arrived while e was
+// being pushed is not the copy the partner acknowledged, so it stays.
+func (s *Store) Release(e Entry) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	byName := s.index[e.Key]
+	if old, ok := byName[e.Name]; !ok || old.Version > e.Version {
+		return false
+	}
+	delete(byName, e.Name)
+	if len(byName) == 0 {
+		delete(s.index, e.Key)
+	}
+	return true
 }
 
 // Clear removes all index entries (not hosted items).

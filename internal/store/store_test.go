@@ -131,6 +131,44 @@ func TestEvict(t *testing.T) {
 	}
 }
 
+func TestOutsideAndRelease(t *testing.T) {
+	s := New()
+	in := Entry{Key: bitpath.MustParse("010"), Name: "in", Holder: 1, Version: 1}
+	out := Entry{Key: bitpath.MustParse("10"), Name: "out", Holder: 2, Version: 1}
+	out2 := Entry{Key: bitpath.MustParse("00"), Name: "out2", Holder: 3, Version: 1}
+	s.Apply(in)
+	s.Apply(out)
+	s.Apply(out2)
+	outside := s.Outside(bitpath.MustParse("01"))
+	if len(outside) != 2 || outside[0] != out2 || outside[1] != out {
+		t.Fatalf("Outside returned %v", outside)
+	}
+	if s.Len() != 3 {
+		t.Fatalf("Outside removed entries: %d left", s.Len())
+	}
+	if !s.Release(out2) {
+		t.Error("Release of the pushed version removed nothing")
+	}
+	if _, ok := s.Get(out2.Key, out2.Name); ok {
+		t.Error("released entry still stored")
+	}
+	if s.Release(out2) {
+		t.Error("second Release reported a removal")
+	}
+	// A fresher version that landed during the push is not the copy the
+	// partner acknowledged: it stays.
+	s.Apply(Entry{Key: out.Key, Name: out.Name, Holder: 2, Version: 2})
+	if s.Release(out) {
+		t.Error("Release removed a fresher version")
+	}
+	if got, _ := s.Get(out.Key, out.Name); got.Version != 2 {
+		t.Errorf("fresher version lost: %v", got)
+	}
+	if s.Len() != 2 {
+		t.Errorf("store holds %d entries, want 2", s.Len())
+	}
+}
+
 func TestHosted(t *testing.T) {
 	s := New()
 	s.Host(Entry{Key: bitpath.MustParse("01"), Name: "b", Holder: 1, Version: 1})

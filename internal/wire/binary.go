@@ -315,6 +315,11 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 				b = appendVarint(b, int64(c.Budget))
 				b = appendBool(b, c.Sampled)
 			}
+			b = appendBool(b, q.Fetch != nil)
+			if f := q.Fetch; f != nil {
+				b = appendPath(b, f.Key)
+				b = appendString(b, f.Name)
+			}
 		}
 	case KindQueryResp:
 		b = appendBool(b, m.QueryResp != nil)
@@ -325,6 +330,11 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 			b = appendVarint(b, int64(q.Messages))
 			b = appendVarint(b, int64(q.Backtracks))
 			b = appendSpans(b, q.Spans)
+			b = appendBool(b, q.Fetched != nil)
+			if f := q.Fetched; f != nil {
+				b = appendEntry(b, f.Entry)
+				b = appendBool(b, f.Found)
+			}
 		}
 	case KindExchange:
 		b = appendBool(b, m.Exchange != nil)
@@ -929,12 +939,19 @@ func decodeInto(d *bdec, kind Kind, nested bool) (*Message, error) {
 				q.Ctx = &trace.SpanContext{TraceID: d.u64(), Parent: d.u64(),
 					Budget: d.int(), Sampled: d.bool()}
 			}
+			if d.bool() {
+				q.Fetch = &GetReq{Key: d.path(), Name: d.string()}
+			}
 			m.Query = q
 		}
 	case KindQueryResp:
 		if d.bool() {
-			m.QueryResp = &QueryResp{Found: d.bool(), Peer: d.addr(), Path: d.path(),
+			q := &QueryResp{Found: d.bool(), Peer: d.addr(), Path: d.path(),
 				Messages: d.int(), Backtracks: d.int(), Spans: d.spans()}
+			if d.bool() {
+				q.Fetched = &GetResp{Entry: d.entry(), Found: d.bool()}
+			}
+			m.QueryResp = q
 		}
 	case KindExchange:
 		if d.bool() {

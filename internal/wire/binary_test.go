@@ -49,9 +49,19 @@ func sampleMessages() []*Message {
 			Ctx: &trace.SpanContext{TraceID: 0xfeedface, Parent: 77, Budget: 12, Sampled: true}}},
 		{Kind: KindQuery, From: 2, Query: &QueryReq{Key: p("1"), Level: 0}}, // untraced
 		{Kind: KindQuery, From: addr.Nil},                                   // nil payload
+		{Kind: KindQuery, From: addr.Nil, Query: &QueryReq{Key: p("11"), Level: 2, // fetching read
+			Fetch: &GetReq{Key: p("011011"), Name: "doc-17"}}},
+		{Kind: KindQuery, From: 3, Query: &QueryReq{Key: p(""), Level: 4,
+			Ctx:   &trace.SpanContext{TraceID: 0xfeedface, Parent: 78, Budget: 11, Sampled: true},
+			Fetch: &GetReq{Key: p("0110"), Name: ""}}},
 		{Kind: KindQueryResp, From: 4, QueryResp: &QueryResp{Found: true, Peer: 11,
 			Path: p("0100"), Messages: 5, Backtracks: 2, Spans: []trace.Span{span, span}}},
 		{Kind: KindQueryResp, From: 4, QueryResp: &QueryResp{Found: false, Peer: addr.Nil}},
+		{Kind: KindQueryResp, From: 4, QueryResp: &QueryResp{Found: true, Peer: 11, // fetch hit
+			Path: p("0110"), Messages: 3, Fetched: &GetResp{Entry: entry, Found: true}}},
+		{Kind: KindQueryResp, From: 4, QueryResp: &QueryResp{Found: true, Peer: 11, // fetch miss
+			Path: p("01"), Messages: 1, Backtracks: 1, Spans: []trace.Span{span},
+			Fetched: &GetResp{}}},
 		{Kind: KindExchange, From: 5, Exchange: &ExchangeReq{Path: p("110"),
 			Refs: []RefSet{{Addrs: []addr.Addr{1, 2}}, {}, {Addrs: []addr.Addr{9}}}, Depth: 2}},
 		{Kind: KindExchangeResp, From: 6, ExchangeResp: &ExchangeResp{
@@ -595,6 +605,78 @@ func TestBinaryRepairCorrupt(t *testing.T) {
 				t.Fatalf("want ErrCorrupt, got %v", err)
 			}
 		})
+	}
+}
+
+// TestBinaryFetchCorrupt runs the corruption table for the read riding a
+// query: a fetch request or fetched entry cut short, or a presence flag
+// with nothing behind it, surfaces ErrCorrupt rather than a partial read.
+func TestBinaryFetchCorrupt(t *testing.T) {
+	frame := func(kind Kind, body []byte) []byte {
+		f := []byte{magic0, magic1, BinaryVersion, byte(kind), 0, 0, 0, 0, 1}
+		f = append(f, byte(len(body)>>24), byte(len(body)>>16), byte(len(body)>>8), byte(len(body)))
+		return append(f, body...)
+	}
+	query := func() []byte {
+		b := appendVarint(nil, 3)                 // From
+		b = appendBool(b, true)                   // payload present
+		b = appendPath(b, bitpath.MustParse("1")) // Key
+		b = appendVarint(b, 1)                    // Level
+		b = appendBool(b, false)                  // no trace context
+		return b
+	}
+	resp := func() []byte {
+		b := appendVarint(nil, 4)                    // From
+		b = appendBool(b, true)                      // payload present
+		b = appendBool(b, true)                      // Found
+		b = appendAddr(b, 11)                        // Peer
+		b = appendPath(b, bitpath.MustParse("0110")) // Path
+		b = appendVarint(b, 2)                       // Messages
+		b = appendVarint(b, 0)                       // Backtracks
+		b = appendUvarint(b, 0)                      // no spans
+		return b
+	}
+	entry := appendEntry(nil, store.Entry{Key: bitpath.MustParse("0110"), Name: "doc-17", Holder: 9, Version: 7})
+	cases := []struct {
+		name string
+		kind Kind
+		body []byte
+	}{
+		{"query fetch flag without request", KindQuery, appendBool(query(), true)},
+		{"query fetch missing name", KindQuery,
+			appendPath(appendBool(query(), true), bitpath.MustParse("0110"))},
+		{"query fetch name cut short", KindQuery, append(appendUvarint(
+			appendPath(appendBool(query(), true), bitpath.MustParse("0110")), 6), 'd', 'o')},
+		{"query fetch flag absent", KindQuery, query()},
+		{"response fetched flag without entry", KindQueryResp, appendBool(resp(), true)},
+		{"response fetched entry cut short", KindQueryResp,
+			append(appendBool(resp(), true), entry[:len(entry)-3]...)},
+		{"response fetched missing found flag", KindQueryResp, append(appendBool(resp(), true), entry...)},
+		{"response fetched flag absent", KindQueryResp, resp()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, m, err := ReadFrame(bytes.NewReader(frame(tc.kind, tc.body)))
+			if err == nil {
+				t.Fatalf("decoded %+v from corrupt fetch frame", m)
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("want ErrCorrupt, got %v", err)
+			}
+		})
+	}
+	// The same bodies completed are well-formed, so the table above
+	// fails for the cut and not for a mistake in the hand-built prefix.
+	ok := [][]byte{
+		frame(KindQuery, appendBool(query(), false)),
+		frame(KindQuery, appendString(appendPath(appendBool(query(), true), bitpath.MustParse("0110")), "doc-17")),
+		frame(KindQueryResp, appendBool(resp(), false)),
+		frame(KindQueryResp, appendBool(append(appendBool(resp(), true), entry...), true)),
+	}
+	for i, f := range ok {
+		if _, _, _, err := ReadFrame(bytes.NewReader(f)); err != nil {
+			t.Errorf("well-formed frame %d: %v", i, err)
+		}
 	}
 }
 

@@ -132,6 +132,13 @@ type QueryReq struct {
 	// fields zero), and old receivers ignore the field, so traced and
 	// untraced peers interoperate.
 	Ctx *trace.SpanContext
+	// Fetch, when set, asks the responsible peer the search reaches to
+	// read the entry under (Fetch.Key, Fetch.Name) and return it in
+	// QueryResp.Fetched, so a read costs the routed search and nothing
+	// more. Fetch.Key is the full key: Key above is only the unresolved
+	// suffix once the query has been forwarded. Forwarding hops pass it
+	// down unchanged.
+	Fetch *GetReq
 }
 
 // QueryResp reports the search outcome.
@@ -151,6 +158,10 @@ type QueryResp struct {
 	// downstream of it, in visit order, when the request was traced
 	// (empty otherwise, and absent on pre-tracing encodings).
 	Spans []trace.Span
+	// Fetched is the responsible peer's answer to QueryReq.Fetch, relayed
+	// back up the search path; nil when the query carried no Fetch or
+	// resolved nothing.
+	Fetched *GetResp
 }
 
 // ExchangeReq carries the initiator's state snapshot: the responder
