@@ -381,8 +381,8 @@ func main() {
 		csvOut("antientropy", func(w *os.File) error { return experiments.AntiEntropyCSV(w, rows) })
 	}
 	// "wire" is opt-in (not part of "all"): it spins a real TCP server and
-	// benchmarks the RPC wire — gob vs binary codec, dial-per-call vs
-	// pooled multiplexed connections.
+	// benchmarks the RPC wire — the gob dial-per-call baseline against
+	// binary dial-per-call and pooled multiplexed connections.
 	if want["wire"] {
 		start := time.Now()
 		wireBench(out, *seed, *wireJSON)

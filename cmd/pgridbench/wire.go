@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -37,7 +39,7 @@ type wireReport struct {
 // and BytesPerOp are whole-process deltas (client and server run in the
 // same process here, so the figure is end-to-end: encode, frame, serve,
 // decode). SpeedupVsGobDial is RPCsPerSec over the gob/dial baseline —
-// the transport this PR replaces.
+// the transport the pooled binary wire replaced.
 type wireRow struct {
 	Codec            string  `json:"codec"`     // "gob" | "binary"
 	Transport        string  `json:"transport"` // "dial" | "pooled"
@@ -52,16 +54,18 @@ type wireRow struct {
 }
 
 const (
+	wireTimeout = 5 * time.Second
 	wireWorkers = 8
 	wireWarmup  = 200
 	wireRPCs    = 4000
 )
 
 // wireBench runs the single-node RPC A/B: the same KindGet workload
-// against one sniffing server, across every cell of
-// {gob, binary} × {dial-per-call, pooled}. The gob/dial cell uses the
-// actual legacy one-shot transport, so the baseline is the real pre-pool
-// code path, not an emulation.
+// against one node, as gob dial-per-call (the baseline), binary
+// dial-per-call and binary pooled. The binary cells dial the production
+// Server through PoolTransport; the gob cell keeps the pre-pool protocol —
+// dial, one length-prefixed gob frame each way through node.Handle, close —
+// against a gob listener of its own (serveGob, gobDialer).
 func wireBench(out io.Writer, seed int64, jsonPath string) {
 	cfg := core.Config{MaxL: 8, RefMax: 5, RecMax: 2, RecFanout: 2}
 	n := node.New(0, cfg, node.NewLocalTransport(), seed)
@@ -78,6 +82,12 @@ func wireBench(out io.Writer, seed int64, jsonPath string) {
 	go srv.Serve(ctx)
 	defer srv.Close()
 	ep := ln.Addr().String()
+
+	gobLn, err := net.Listen("tcp", "127.0.0.1:0")
+	check(err)
+	defer gobLn.Close()
+	go serveGob(gobLn, n)
+	gobEP := gobLn.Addr().String()
 
 	req := func() *wire.Message {
 		return &wire.Message{Kind: wire.KindGet, From: addr.Nil,
@@ -114,7 +124,7 @@ func wireBench(out io.Writer, seed int64, jsonPath string) {
 			wg.Wait()
 		}
 
-		// Warmup fills pools and negotiates codecs outside the window.
+		// Warmup fills pools outside the window.
 		next.Store(int64(rpcs - wireWarmup))
 		run()
 		next.Store(0)
@@ -139,31 +149,20 @@ func wireBench(out io.Writer, seed int64, jsonPath string) {
 		codec, transport string
 		make             func() (node.Transport, func())
 	}
-	poolCfg := func(size int, forceGob bool) node.PoolConfig {
-		return node.PoolConfig{DialTimeout: 5 * time.Second, IOTimeout: 5 * time.Second,
-			Size: size, ForceGob: forceGob}
+	pooled := func(size int) func() (node.Transport, func()) {
+		return func() (node.Transport, func()) {
+			pt := node.NewPoolTransport(node.PoolConfig{DialTimeout: wireTimeout,
+				IOTimeout: wireTimeout, Size: size})
+			pt.SetEndpoint(0, ep)
+			return pt, pt.Close
+		}
 	}
 	cells := []cell{
 		{"gob", "dial", func() (node.Transport, func()) {
-			tr := node.NewTCPTransport(5 * time.Second)
-			tr.SetEndpoint(0, ep)
-			return tr, func() {}
+			return gobDialer(gobEP), func() {}
 		}},
-		{"gob", "pooled", func() (node.Transport, func()) {
-			pt := node.NewPoolTransport(poolCfg(2, true))
-			pt.SetEndpoint(0, ep)
-			return pt, pt.Close
-		}},
-		{"binary", "dial", func() (node.Transport, func()) {
-			pt := node.NewPoolTransport(poolCfg(0, false))
-			pt.SetEndpoint(0, ep)
-			return pt, pt.Close
-		}},
-		{"binary", "pooled", func() (node.Transport, func()) {
-			pt := node.NewPoolTransport(poolCfg(2, false))
-			pt.SetEndpoint(0, ep)
-			return pt, pt.Close
-		}},
+		{"binary", "dial", pooled(0)},
+		{"binary", "pooled", pooled(2)},
 	}
 
 	rows := make([]wireRow, 0, len(cells))
@@ -211,4 +210,56 @@ func wireBench(out io.Writer, seed int64, jsonPath string) {
 		check(os.WriteFile(jsonPath, buf, 0o644))
 		fmt.Fprintf(out, "wrote %s (%d cells)\n", jsonPath, len(rows))
 	}
+}
+
+// serveGob serves n over the pre-pool gob protocol until ln is closed: each
+// connection carries length-prefixed gob frames, answered in order through
+// node.Handle, until the client closes it.
+func serveGob(ln net.Listener, n *node.Node) {
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		go func() {
+			defer conn.Close()
+			br := bufio.NewReader(conn)
+			for {
+				msg, err := wire.ReadMessage(br)
+				if err != nil {
+					return
+				}
+				if err := wire.WriteMessage(conn, n.Handle(msg)); err != nil {
+					return
+				}
+			}
+		}()
+	}
+}
+
+// gobDialer is the dial-per-call gob client: every call dials ep, writes
+// one gob frame, reads one back and closes, with the IO deadline started
+// after the dial.
+type gobDialer string
+
+func (ep gobDialer) Call(_ addr.Addr, msg *wire.Message) (*wire.Message, error) {
+	conn, err := net.DialTimeout("tcp", string(ep), wireTimeout)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(wireTimeout)); err != nil {
+		return nil, err
+	}
+	if err := wire.WriteMessage(conn, msg); err != nil {
+		return nil, err
+	}
+	resp, err := wire.ReadMessage(conn)
+	if err != nil {
+		return nil, err
+	}
+	if resp.Kind == wire.KindError {
+		return nil, errors.New(resp.Error)
+	}
+	return resp, nil
 }

@@ -24,7 +24,10 @@ import (
 // flight recorder, and (c) read a restarted peer as a counter reset,
 // never a negative rate.
 func TestTCPHistoryAcceptance(t *testing.T) {
-	tr := NewTCPTransport(2 * time.Second)
+	// Unpooled: the restart below moves node 2 to a new listener, and a
+	// fresh connection per call never reuses one to the old incarnation.
+	tr := NewPoolTransport(PoolConfig{DialTimeout: 2 * time.Second, IOTimeout: 2 * time.Second})
+	defer tr.Close()
 	const nNodes = 3
 	nodes := make([]*Node, nNodes)
 	servers := make([]*Server, nNodes)

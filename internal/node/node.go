@@ -182,17 +182,6 @@ func (n *Node) handle(m *wire.Message) *wire.Message {
 		return n.handleBatch(m)
 	case wire.KindRepair:
 		return &wire.Message{Kind: wire.KindRepairResp, From: n.Addr(), RepairResp: n.handleRepair(m.Repair)}
-	case wire.KindHello:
-		// Codec negotiation: accept the highest version both sides speak.
-		// A hello only ever arrives on a binary-framed connection (gob-only
-		// dialers cannot express it), so answering is enough — the framing
-		// is already agreed by the time the payload is read.
-		c := uint8(wire.BinaryVersion)
-		if m.Hello != nil && m.Hello.MaxCodec < c {
-			c = m.Hello.MaxCodec
-		}
-		return &wire.Message{Kind: wire.KindHelloResp, From: n.Addr(),
-			HelloResp: &wire.HelloResp{Codec: c}}
 	default:
 		return &wire.Message{Kind: wire.KindError, From: n.Addr(),
 			Error: fmt.Sprintf("unexpected message kind %v", m.Kind)}

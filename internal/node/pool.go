@@ -25,17 +25,13 @@ type PoolConfig struct {
 	// trusted for the others either.
 	IOTimeout time.Duration
 	// Size is the maximum pooled connections per peer. 0 disables pooling:
-	// every call dials, speaks, and closes — the legacy behaviour, kept as
-	// the A/B baseline for the wire benchmark.
+	// every call dials, speaks, and closes — the dial-per-call row of the
+	// wire benchmark.
 	Size int
 	// IdleTimeout reaps pooled connections with no traffic for this long
 	// (0 means 60s). Reaping keeps a big community from pinning a socket
 	// per peer it talked to once.
 	IdleTimeout time.Duration
-	// ForceGob skips binary negotiation and speaks the legacy gob codec on
-	// every connection — the operator escape hatch (-codec=gob) and the
-	// other axis of the A/B benchmark.
-	ForceGob bool
 }
 
 func (c PoolConfig) withDefaults() PoolConfig {
@@ -65,10 +61,10 @@ type PoolStats struct {
 
 // PoolTransport is the fast-wire Transport: per-peer pools of long-lived
 // connections, each multiplexing concurrent in-flight requests over the
-// binary frame codec via sequence ids. Dialing negotiates the codec with a
-// hello frame; peers that predate the binary codec drop the hello and the
-// pool falls back to a dedicated gob connection (sequential, like the old
-// transport), remembering the peer as gob-only once a gob call succeeds.
+// binary frame codec via sequence ids. There is one codec and no
+// negotiation: a dial connects and the first request goes straight out, so
+// a call to an offline peer (whose server drops the connection unanswered)
+// costs exactly one dial.
 //
 // Every transport-level failure — dial errors, timeouts, connections dying
 // mid-flight — wraps ErrOffline, so the resilience stack classifies pool
@@ -163,7 +159,7 @@ func (p *PoolTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Message, er
 		// Unpooled mode: dial, one call, close.
 		start := time.Now()
 		p.acquiring.Add(1)
-		mc, err := p.dialConn(to, ep, p.peerState(to), nil)
+		mc, err := p.dialConn(to, ep, nil)
 		p.acquiring.Add(-1)
 		p.tel.PoolAcquireWait(time.Since(start))
 		if err != nil {
@@ -240,15 +236,10 @@ func errClass(err error) string {
 }
 
 // callOn runs one round trip on mc and applies the KindError convention.
-// A successful call on a fallback gob connection marks the peer gob-only,
-// so later dials skip the doomed binary hello.
 func (p *PoolTransport) callOn(mc *muxConn, to addr.Addr, msg *wire.Message) (*wire.Message, error) {
 	resp, err := mc.call(msg, p.cfg.IOTimeout)
 	if err != nil {
 		return nil, err
-	}
-	if mc.fellBack {
-		p.pool(to).markGobOnly()
 	}
 	if resp.Kind == wire.KindError {
 		return nil, fmt.Errorf("node %v: %s", to, resp.Error)
@@ -259,8 +250,7 @@ func (p *PoolTransport) callOn(mc *muxConn, to addr.Addr, msg *wire.Message) (*w
 // Evict closes every pooled connection to the peer. Wired to the breaker's
 // open transition: a peer judged unhealthy should not keep warm sockets,
 // and the half-open probe decides afresh. In-flight requests on evicted
-// connections fail Transient. The gob-only memory survives eviction — the
-// peer's codec does not change because its breaker tripped.
+// connections fail Transient.
 func (p *PoolTransport) Evict(to addr.Addr) {
 	p.mu.RLock()
 	pp := p.peers[to]
@@ -348,39 +338,11 @@ func (p *PoolTransport) pool(to addr.Addr) *peerPool {
 	return pp
 }
 
-// peerState reports whether the peer is known to be gob-only.
-func (p *PoolTransport) peerState(to addr.Addr) bool {
-	p.mu.RLock()
-	pp := p.peers[to]
-	p.mu.RUnlock()
-	return pp != nil && pp.isGobOnly()
-}
-
-// gobOnlyTTL ages the negotiated-codec memory: after this long without a
-// fresh confirmation, the next dial retries the binary hello, so a
-// binary-capable peer that once misnegotiated (e.g. restarted mid-hello)
-// is not downgraded to the sequential gob codec for the life of the
-// process.
-const gobOnlyTTL = 5 * time.Minute
-
-// peerPool holds one peer's connections and its negotiated-codec memory.
+// peerPool holds one peer's connections.
 type peerPool struct {
-	mu           sync.Mutex
-	conns        []*muxConn
-	next         int
-	gobOnlyUntil int64 // unix nanos; 0 or past means "retry binary"
-}
-
-func (pp *peerPool) isGobOnly() bool {
-	pp.mu.Lock()
-	defer pp.mu.Unlock()
-	return pp.gobOnlyUntil != 0 && time.Now().UnixNano() < pp.gobOnlyUntil
-}
-
-func (pp *peerPool) markGobOnly() {
-	pp.mu.Lock()
-	pp.gobOnlyUntil = time.Now().Add(gobOnlyTTL).UnixNano()
-	pp.mu.Unlock()
+	mu    sync.Mutex
+	conns []*muxConn
+	next  int
 }
 
 // acquire returns a live connection for the peer: an idle pooled one when
@@ -409,10 +371,9 @@ func (pp *peerPool) acquire(p *PoolTransport, to addr.Addr, ep string) (mc *muxC
 			return mc, true, nil
 		}
 	}
-	gobOnly := pp.gobOnlyUntil != 0 && time.Now().UnixNano() < pp.gobOnlyUntil
 	pp.mu.Unlock()
 
-	mc, err = p.dialConn(to, ep, gobOnly, pp)
+	mc, err = p.dialConn(to, ep, pp)
 	if err != nil {
 		return nil, false, err
 	}
@@ -479,93 +440,37 @@ func (pp *peerPool) idleBefore(cutoff int64) []*muxConn {
 	return idle
 }
 
-// dialConn establishes one connection, negotiating the codec: a binary
-// hello first (unless gob is forced or the peer is known gob-only), and a
-// fresh gob dial when the peer drops the hello unanswered — exactly what a
-// pre-binary listener does with an unparseable length prefix. pp is the
-// peer's pool (nil in unpooled mode); it is wired into the connection
-// before the demux reader starts, so a connection that dies immediately
-// can always remove itself.
-func (p *PoolTransport) dialConn(to addr.Addr, ep string, gobOnly bool, pp *peerPool) (*muxConn, error) {
-	if p.cfg.ForceGob || gobOnly {
-		return p.dialGob(to, ep, false, pp)
-	}
+// dialConn establishes one connection and starts its demux reader. There
+// is no handshake: the caller's request is the first frame on the wire. An
+// offline peer's server reads that frame and drops the connection, which
+// the reader reports as an ErrOffline-wrapped loss to the waiting call. pp
+// is the peer's pool (nil in unpooled mode); it is wired into the
+// connection before the reader starts, so a connection that dies
+// immediately can always remove itself.
+func (p *PoolTransport) dialConn(to addr.Addr, ep string, pp *peerPool) (*muxConn, error) {
 	conn, err := net.DialTimeout("tcp", ep, p.cfg.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial %v (%s): %v", ErrOffline, to, ep, err)
 	}
-	// Negotiate sequentially before the demux reader exists: one hello
-	// frame out, one response in, under a deadline.
-	deadline := time.Now().Add(p.cfg.IOTimeout)
-	conn.SetDeadline(deadline)
-	hello := &wire.Message{Kind: wire.KindHello, From: addr.Nil,
-		Hello: &wire.HelloReq{MaxCodec: wire.BinaryVersion}}
-	br := bufio.NewReader(conn)
-	var resp *wire.Message
-	helloErr := wire.WriteFrame(conn, 0, 0, hello)
-	if helloErr == nil {
-		_, _, resp, helloErr = wire.ReadFrame(br)
-	}
-	if resp == nil || resp.HelloResp == nil || resp.HelloResp.Codec < wire.BinaryVersion {
-		// The peer dropped or refused the hello: assume pre-binary and
-		// fall back to a fresh gob connection. The gob-only memory is only
-		// written after that connection completes a successful call — an
-		// offline peer must not be mistaken for a gob-only one. A timeout
-		// says nothing about the peer's codec either (it may be briefly
-		// slow), so it falls back for this connection only, without
-		// marking the peer.
-		conn.Close()
-		remember := true
-		var ne net.Error
-		if errors.As(helloErr, &ne) && ne.Timeout() {
-			remember = false
-		}
-		return p.dialGob(to, ep, remember, pp)
-	}
-	conn.SetDeadline(time.Time{})
 	mc := &muxConn{
 		pt:      p,
 		pool:    pp,
 		peer:    to,
 		conn:    conn,
-		br:      br,
+		br:      bufio.NewReader(conn),
 		pending: make(map[uint32]chan *wire.Message),
 	}
 	mc.lastUse.Store(time.Now().UnixNano())
 	p.dials.Add(1)
 	p.open.Add(1)
-	p.tel.PoolDial("binary")
+	p.tel.PoolDial()
 	p.publishGauges()
 	go mc.readLoop()
 	return mc, nil
 }
 
-func (p *PoolTransport) dialGob(to addr.Addr, ep string, fellBack bool, pp *peerPool) (*muxConn, error) {
-	conn, err := net.DialTimeout("tcp", ep, p.cfg.DialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("%w: dial %v (%s): %v", ErrOffline, to, ep, err)
-	}
-	mc := &muxConn{
-		pt:       p,
-		pool:     pp,
-		peer:     to,
-		conn:     conn,
-		br:       bufio.NewReader(conn),
-		gob:      true,
-		fellBack: fellBack,
-	}
-	mc.lastUse.Store(time.Now().UnixNano())
-	p.dials.Add(1)
-	p.open.Add(1)
-	p.tel.PoolDial("gob")
-	p.publishGauges()
-	return mc, nil
-}
-
-// muxConn is one pooled connection. In binary mode a background reader
-// demultiplexes response frames to waiting callers by sequence id; in gob
-// mode (negotiated fallback) calls serialize over the connection exactly
-// like the legacy transport.
+// muxConn is one pooled connection. A background reader demultiplexes
+// response frames to waiting callers by sequence id.
 type muxConn struct {
 	pt   *PoolTransport
 	pool *peerPool // nil in unpooled mode
@@ -573,17 +478,13 @@ type muxConn struct {
 	conn net.Conn
 	br   *bufio.Reader
 
-	// wmu serializes writers; in gob mode it spans the whole round trip.
-	wmu sync.Mutex
-	seq uint32 // next sequence id, under wmu
+	wmu sync.Mutex // serializes frame writes
+	seq uint32     // next sequence id, under wmu
 
 	mu      sync.Mutex
 	pending map[uint32]chan *wire.Message
 	dead    bool
 	deadErr error
-
-	gob      bool
-	fellBack bool // gob via failed binary negotiation, not by configuration
 
 	lastUse  atomic.Int64
 	inflight atomic.Int32
@@ -597,9 +498,6 @@ func (m *muxConn) call(msg *wire.Message, ioTimeout time.Duration) (*wire.Messag
 		m.inflight.Add(-1)
 		m.lastUse.Store(time.Now().UnixNano())
 	}()
-	if m.gob {
-		return m.callGob(msg, ioTimeout)
-	}
 
 	ch := make(chan *wire.Message, 1)
 	m.wmu.Lock()
@@ -651,34 +549,7 @@ func (m *muxConn) call(msg *wire.Message, ioTimeout time.Duration) (*wire.Messag
 	}
 }
 
-func (m *muxConn) callGob(msg *wire.Message, ioTimeout time.Duration) (*wire.Message, error) {
-	m.wmu.Lock()
-	defer m.wmu.Unlock()
-	m.mu.Lock()
-	if m.dead {
-		err := m.deadErr
-		m.mu.Unlock()
-		return nil, err
-	}
-	m.mu.Unlock()
-	m.conn.SetDeadline(time.Now().Add(ioTimeout))
-	if err := wire.WriteMessage(m.conn, msg); err != nil {
-		m.fail(fmt.Errorf("%w: send to %v: %v", ErrOffline, m.peer, err))
-		return nil, fmt.Errorf("%w: send to %v: %v", ErrOffline, m.peer, err)
-	}
-	resp, err := wire.ReadMessage(m.br)
-	if err != nil {
-		if errors.Is(err, wire.ErrCorrupt) {
-			m.fail(err)
-			return nil, fmt.Errorf("receive from %v: %w", m.peer, err)
-		}
-		m.fail(fmt.Errorf("%w: receive from %v: %v", ErrOffline, m.peer, err))
-		return nil, fmt.Errorf("%w: receive from %v: %v", ErrOffline, m.peer, err)
-	}
-	return resp, nil
-}
-
-// readLoop demultiplexes binary response frames to their callers.
+// readLoop demultiplexes response frames to their callers.
 func (m *muxConn) readLoop() {
 	for {
 		seq, flags, resp, err := wire.ReadFrame(m.br)

@@ -16,13 +16,12 @@ import (
 	"pgrid/internal/bitpath"
 	"pgrid/internal/resilience"
 	"pgrid/internal/store"
-	"pgrid/internal/telemetry"
 	"pgrid/internal/wire"
 )
 
-// startPooledCluster is startTCPCluster over the pooled multiplexed
-// transport: n nodes, each served on a loopback listener, all routing
-// their own traffic through one shared PoolTransport.
+// startPooledCluster is startTCPCluster with the transport configured by
+// cfg: n nodes, each served on a loopback listener, all routing their own
+// traffic through one shared PoolTransport.
 func startPooledCluster(t *testing.T, n int, cfg PoolConfig) ([]*Node, *PoolTransport, func()) {
 	t.Helper()
 	pt := NewPoolTransport(cfg)
@@ -48,20 +47,18 @@ func startPooledCluster(t *testing.T, n int, cfg PoolConfig) ([]*Node, *PoolTran
 	}
 }
 
-// startLegacyGobServer serves a node exactly the way the pre-binary
-// release did: sequential gob frames, no sniffing. A binary hello arrives
-// as an impossible gob length prefix, so ReadMessage errors and the
-// connection drops unanswered — the behaviour the pool's negotiation
-// fallback is built against. Returns the endpoint and an accept counter
-// so tests can see how many dials actually reached the peer.
-func startLegacyGobServer(t *testing.T, n *Node) (string, *atomic.Int64, func()) {
+// startDroppingListener mimics an offline peer's Server: it accepts a
+// connection, reads one frame and closes the connection unanswered. It
+// counts the connections it accepted and the frames that did not open
+// with the binary magic (a gob frame, say).
+func startDroppingListener(t *testing.T) (ep string, accepts, nonBinary *atomic.Int64) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	accepts := &atomic.Int64{}
-	var wg sync.WaitGroup
+	t.Cleanup(func() { ln.Close() })
+	accepts, nonBinary = &atomic.Int64{}, &atomic.Int64{}
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -69,27 +66,50 @@ func startLegacyGobServer(t *testing.T, n *Node) (string, *atomic.Int64, func())
 				return
 			}
 			accepts.Add(1)
-			wg.Add(1)
 			go func() {
-				defer wg.Done()
 				defer conn.Close()
 				br := bufio.NewReader(conn)
-				for {
-					m, err := wire.ReadMessage(br)
-					if err != nil {
-						return
-					}
-					if !n.Online() {
-						return
-					}
-					if err := wire.WriteMessage(conn, n.Handle(m)); err != nil {
-						return
-					}
+				isBin, err := wire.IsBinaryFrame(br)
+				if err == nil && !isBin {
+					nonBinary.Add(1)
+				}
+				if isBin {
+					wire.ReadFrame(br)
 				}
 			}()
 		}
 	}()
-	return ln.Addr().String(), accepts, func() { ln.Close(); wg.Wait() }
+	return ln.Addr().String(), accepts, nonBinary
+}
+
+// TestPoolOfflinePeerCostsOneDial: a call to a peer whose server drops the
+// connection after reading the request fails ErrOffline after exactly one
+// dial, and nothing but the one binary request frame reaches the peer — no
+// handshake connection and no second, differently encoded attempt.
+func TestPoolOfflinePeerCostsOneDial(t *testing.T) {
+	ep, accepts, nonBinary := startDroppingListener(t)
+	pt := NewPoolTransport(PoolConfig{DialTimeout: 2 * time.Second, IOTimeout: 2 * time.Second, Size: 2})
+	defer pt.Close()
+	pt.SetEndpoint(1, ep)
+
+	_, err := pt.Call(1, &wire.Message{Kind: wire.KindInfo, From: addr.Nil})
+	if !errors.Is(err, ErrOffline) {
+		t.Fatalf("call to a dropping peer = %v, want ErrOffline wrap", err)
+	}
+	if Classify(err) != resilience.Transient {
+		t.Fatalf("dropped call classified %v, want Transient", Classify(err))
+	}
+	if st := pt.Stats(); st.Dials != 1 || st.Open != 0 {
+		t.Errorf("stats = %+v, want 1 dial and no open connection", st)
+	}
+	// Both counters are bumped before the listener closes a connection,
+	// and the call cannot return before that close.
+	if got := accepts.Load(); got != 1 {
+		t.Errorf("peer accepted %d connections, want 1", got)
+	}
+	if got := nonBinary.Load(); got != 0 {
+		t.Errorf("%d non-binary frames reached the peer", got)
+	}
 }
 
 func TestPoolReusesConnections(t *testing.T) {
@@ -235,80 +255,6 @@ func TestPoolGrowsToSizeUnderSaturation(t *testing.T) {
 	}
 }
 
-// TestPoolHelloTimeoutNotRememberedGobOnly: a peer that accepts the
-// connection but answers the hello too slowly (timeout, not a dropped
-// frame) falls back to gob for that connection only — fellBack stays
-// false, so a later successful call cannot mark a possibly binary-capable
-// peer gob-only.
-func TestPoolHelloTimeoutNotRememberedGobOnly(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() { // black hole: accept, read, never answer
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				buf := make([]byte, 4096)
-				for {
-					if _, err := conn.Read(buf); err != nil {
-						return
-					}
-					select {
-					case <-stop:
-						return
-					default:
-					}
-				}
-			}()
-		}
-	}()
-
-	pt := NewPoolTransport(PoolConfig{
-		DialTimeout: 2 * time.Second, IOTimeout: 100 * time.Millisecond, Size: 2})
-	defer pt.Close()
-	pt.SetEndpoint(1, ln.Addr().String())
-
-	mc, err := pt.dialConn(1, ln.Addr().String(), false, nil)
-	if err != nil {
-		t.Fatalf("dialConn after hello timeout: %v", err)
-	}
-	defer mc.close()
-	if !mc.gob {
-		t.Error("hello timeout must fall back to gob for the connection")
-	}
-	if mc.fellBack {
-		t.Error("hello timeout must not set fellBack: the peer's codec is unknown")
-	}
-}
-
-// TestGobOnlyMemoryAges: the gob-only flag expires after gobOnlyTTL, so a
-// later dial re-probes the binary hello instead of downgrading the peer
-// forever.
-func TestGobOnlyMemoryAges(t *testing.T) {
-	pp := &peerPool{}
-	if pp.isGobOnly() {
-		t.Fatal("fresh pool must not be gob-only")
-	}
-	pp.markGobOnly()
-	if !pp.isGobOnly() {
-		t.Fatal("markGobOnly must take effect immediately")
-	}
-	pp.mu.Lock()
-	pp.gobOnlyUntil = time.Now().Add(-time.Second).UnixNano()
-	pp.mu.Unlock()
-	if pp.isGobOnly() {
-		t.Fatal("expired gob-only memory must re-enable binary negotiation")
-	}
-}
-
 // TestPoolUnpooledMode: Size 0 is the dial-per-call A/B baseline.
 func TestPoolUnpooledMode(t *testing.T) {
 	_, pt, stop := startPooledCluster(t, 1, PoolConfig{
@@ -401,132 +347,6 @@ func TestPoolIdleReap(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("idle connection not reaped: %+v", pt.Stats())
-}
-
-// TestPoolGobFallback: dialing a legacy gob-only peer, the binary hello is
-// dropped, the pool falls back to gob, and — once a gob call succeeds —
-// remembers the peer so later dials skip the doomed hello entirely.
-func TestPoolGobFallback(t *testing.T) {
-	n := New(1, smallCfg(), NewLocalTransport(), 1)
-	ep, accepts, stopSrv := startLegacyGobServer(t, n)
-	defer stopSrv()
-
-	tel := telemetry.New(-1)
-	pt := NewPoolTransport(PoolConfig{DialTimeout: 2 * time.Second, IOTimeout: 2 * time.Second, Size: 2})
-	pt.SetTelemetry(tel)
-	defer pt.Close()
-	pt.SetEndpoint(1, ep)
-
-	resp, err := pt.Call(1, &wire.Message{Kind: wire.KindInfo, From: addr.Nil})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.InfoResp == nil || resp.InfoResp.Addr != 1 {
-		t.Fatalf("fallback call answered %+v", resp)
-	}
-	// Two connections reached the peer: the dropped binary hello and the
-	// gob retry. Only the surviving gob connection counts as a dial.
-	if got := accepts.Load(); got != 2 {
-		t.Errorf("legacy server accepted %d conns, want 2 (hello + gob fallback)", got)
-	}
-	if st := pt.Stats(); st.Dials != 1 {
-		t.Errorf("dials = %d, want 1", st.Dials)
-	}
-	if got := counterVal(t, tel, telemetry.Label("pgrid_pool_dials_codec_total", "codec", "gob")); got != 1 {
-		t.Errorf("gob-labeled dials = %d, want 1", got)
-	}
-
-	// Reuse does not re-dial.
-	if _, err := pt.Call(1, &wire.Message{Kind: wire.KindInfo, From: addr.Nil}); err != nil {
-		t.Fatal(err)
-	}
-	if got := accepts.Load(); got != 2 {
-		t.Errorf("reused call re-dialed: %d accepts", got)
-	}
-
-	// After eviction the peer is remembered as gob-only: exactly one new
-	// connection, no binary hello attempt.
-	pt.Evict(1)
-	if _, err := pt.Call(1, &wire.Message{Kind: wire.KindInfo, From: addr.Nil}); err != nil {
-		t.Fatal(err)
-	}
-	if got := accepts.Load(); got != 3 {
-		t.Errorf("gob-only redial accepted %d conns total, want 3 (no repeated hello)", got)
-	}
-}
-
-// TestMixedCodecInterop is the acceptance interop matrix: a binary pooled
-// dialer against the sniffing server, the same pool against a legacy
-// gob-only peer, a forced-gob pool against the sniffing server, and the
-// legacy one-shot transport against the sniffing server — data written
-// through one codec reads back through the other.
-func TestMixedCodecInterop(t *testing.T) {
-	newNode := New(0, smallCfg(), NewLocalTransport(), 10)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(newNode, ln)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.Serve(ctx)
-	defer srv.Close()
-
-	oldNode := New(1, smallCfg(), NewLocalTransport(), 11)
-	legacyEP, _, stopLegacy := startLegacyGobServer(t, oldNode)
-	defer stopLegacy()
-
-	tel := telemetry.New(-1)
-	pt := NewPoolTransport(PoolConfig{DialTimeout: 2 * time.Second, IOTimeout: 2 * time.Second, Size: 2})
-	pt.SetTelemetry(tel)
-	defer pt.Close()
-	pt.SetEndpoint(0, ln.Addr().String())
-	pt.SetEndpoint(1, legacyEP)
-
-	// Binary pool → sniffing server: write an entry over the binary codec.
-	e := store.Entry{Key: bitpath.MustParse("10"), Name: "interop", Holder: 7, Version: 3}
-	if _, err := pt.Call(0, &wire.Message{Kind: wire.KindApply, From: addr.Nil,
-		Apply: &wire.ApplyReq{Entry: e}}); err != nil {
-		t.Fatalf("binary apply: %v", err)
-	}
-	// Binary pool → legacy gob peer: negotiation falls back, call works.
-	if resp, err := pt.Call(1, &wire.Message{Kind: wire.KindInfo, From: addr.Nil}); err != nil ||
-		resp.InfoResp == nil || resp.InfoResp.Addr != 1 {
-		t.Fatalf("pool → legacy peer = %+v, %v", resp, err)
-	}
-
-	// Legacy one-shot gob transport → sniffing server: read the entry the
-	// binary codec wrote.
-	old := NewTCPTransport(2 * time.Second)
-	old.SetEndpoint(0, ln.Addr().String())
-	got, err := old.Call(0, &wire.Message{Kind: wire.KindGet, From: addr.Nil,
-		Get: &wire.GetReq{Key: e.Key, Name: "interop"}})
-	if err != nil {
-		t.Fatalf("legacy get: %v", err)
-	}
-	if got.GetResp == nil || !got.GetResp.Found || got.GetResp.Entry != e {
-		t.Fatalf("entry written via binary, read via gob = %+v", got.GetResp)
-	}
-
-	// Forced-gob pool → sniffing server: the escape hatch speaks legacy
-	// frames to a new server.
-	gobPool := NewPoolTransport(PoolConfig{DialTimeout: 2 * time.Second, IOTimeout: 2 * time.Second,
-		Size: 2, ForceGob: true})
-	defer gobPool.Close()
-	gobPool.SetEndpoint(0, ln.Addr().String())
-	if resp, err := gobPool.Call(0, &wire.Message{Kind: wire.KindGet, From: addr.Nil,
-		Get: &wire.GetReq{Key: e.Key, Name: "interop"}}); err != nil ||
-		resp.GetResp == nil || resp.GetResp.Entry != e {
-		t.Fatalf("forced-gob pool read = %+v, %v", resp, err)
-	}
-
-	// The telemetry saw both codecs dialed by the main pool.
-	if bin := counterVal(t, tel, telemetry.Label("pgrid_pool_dials_codec_total", "codec", "binary")); bin < 1 {
-		t.Errorf("binary dials = %d, want ≥ 1", bin)
-	}
-	if gob := counterVal(t, tel, telemetry.Label("pgrid_pool_dials_codec_total", "codec", "gob")); gob < 1 {
-		t.Errorf("gob fallback dials = %d, want ≥ 1", gob)
-	}
 }
 
 // TestTCPPooledExchangeAndQuery runs the full P-Grid protocol — meetings,

@@ -14,10 +14,11 @@ import (
 )
 
 // startTCPCluster launches n nodes, each served on a loopback listener,
-// all sharing one endpoint table.
-func startTCPCluster(t *testing.T, n int) ([]*Node, *TCPTransport, func()) {
+// all calling through one unpooled transport: every call dials a fresh
+// connection, speaks one request and closes it.
+func startTCPCluster(t *testing.T, n int) ([]*Node, *PoolTransport, func()) {
 	t.Helper()
-	tr := NewTCPTransport(2 * time.Second)
+	tr := NewPoolTransport(PoolConfig{DialTimeout: 2 * time.Second, IOTimeout: 2 * time.Second})
 	nodes := make([]*Node, n)
 	servers := make([]*Server, n)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -36,6 +37,7 @@ func startTCPCluster(t *testing.T, n int) ([]*Node, *TCPTransport, func()) {
 		for _, s := range servers {
 			s.Close()
 		}
+		tr.Close()
 	}
 }
 
@@ -198,14 +200,16 @@ func TestTCPNodeMaintain(t *testing.T) {
 }
 
 func TestTCPUnknownEndpoint(t *testing.T) {
-	tr := NewTCPTransport(time.Second)
+	tr := NewPoolTransport(PoolConfig{DialTimeout: time.Second, IOTimeout: time.Second})
+	defer tr.Close()
 	if _, err := tr.Call(99, &wire.Message{Kind: wire.KindInfo}); err == nil {
 		t.Fatal("unknown endpoint accepted")
 	}
 }
 
 func TestTCPUnreachableEndpoint(t *testing.T) {
-	tr := NewTCPTransport(200 * time.Millisecond)
+	tr := NewPoolTransport(PoolConfig{DialTimeout: 200 * time.Millisecond, IOTimeout: 200 * time.Millisecond})
+	defer tr.Close()
 	// A listener we immediately close: dialing must fail cleanly.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -2,8 +2,8 @@
 //
 // The gob codec (wire.go) is convenient but allocation-heavy: every frame
 // re-encodes type descriptors, every encode walks reflection, and every
-// decode allocates through it. This file implements the negotiated
-// replacement: a hand-rolled frame format with a fixed 13-byte header and
+// decode allocates through it. This file implements the transport codec:
+// a hand-rolled frame format with a fixed 13-byte header and
 // varint-packed payloads, encoded into pooled buffers so a request/response
 // round trip allocates close to nothing on the encode side.
 //
@@ -27,12 +27,12 @@
 // that exceed the remaining payload, and trailing garbage all surface
 // ErrCorrupt — never a panic and never an oversized allocation.
 //
-// Interop: a gob frame's first byte is its length prefix's high byte, which
-// MaxFrameSize caps at 0x01 — so the 0x50 magic byte is unambiguous and a
-// receiver can sniff the codec per connection (IsBinaryFrame). A frame with
-// FlagGob carries a gob-encoded Message as its payload: the negotiated
-// fallback that lets a binary-framing connection ship a payload only gob
-// can express.
+// One codec: there is no negotiation, and the header's version byte is the
+// evolution point. A gob frame's first byte is its length prefix's high
+// byte, which MaxFrameSize caps at 0x01 — so the 0x50 magic byte is
+// unambiguous and a server drops a non-binary connection on its first byte
+// (IsBinaryFrame). A frame with FlagGob carries a gob-encoded Message as
+// its payload, for a body only gob can express.
 package wire
 
 import (
@@ -53,10 +53,9 @@ import (
 	"pgrid/internal/trace"
 )
 
-// BinaryVersion is the current binary codec version. Hello negotiation
-// picks min(dialer's max, listener's BinaryVersion); parsing a frame of a
-// different version is refused as corrupt, so a version bump must ride a
-// new negotiation round, never a silent format change.
+// BinaryVersion is the current binary codec version, carried in every
+// frame header. Parsing a frame of a different version is refused as
+// corrupt, so a format change must bump it, never change silently.
 const BinaryVersion = 1
 
 // HeaderSize is the fixed binary frame header length in bytes.
@@ -199,8 +198,9 @@ func ReadFrame(r io.Reader) (seq uint32, flags uint8, m *Message, err error) {
 
 // ReadAuto reads one message in whichever codec the sender used, sniffing
 // the first byte: binary frames decode through ReadFrame (sequence id
-// discarded), anything else through the legacy gob path. This is the
-// gob-fallback read path a mixed-codec receiver runs.
+// discarded), anything else through the legacy gob path. No transport
+// reads this way; the cross-codec tests use it to hold both codecs to one
+// reader.
 func ReadAuto(br *bufio.Reader) (*Message, error) {
 	isBin, err := IsBinaryFrame(br)
 	if err != nil {
@@ -485,16 +485,6 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 			if b, err = appendMessageBody(b, sub); err != nil {
 				return b, err
 			}
-		}
-	case KindHello:
-		b = appendBool(b, m.Hello != nil)
-		if h := m.Hello; h != nil {
-			b = append(b, h.MaxCodec)
-		}
-	case KindHelloResp:
-		b = appendBool(b, m.HelloResp != nil)
-		if h := m.HelloResp; h != nil {
-			b = append(b, h.Codec)
 		}
 	case KindMetricsResp:
 		b = appendBool(b, m.MetricsResp != nil)
@@ -1108,14 +1098,6 @@ func decodeInto(d *bdec, kind Kind, nested bool) (*Message, error) {
 			} else {
 				m.BatchResp = &BatchResp{Msgs: msgs}
 			}
-		}
-	case KindHello:
-		if d.bool() {
-			m.Hello = &HelloReq{MaxCodec: d.byte()}
-		}
-	case KindHelloResp:
-		if d.bool() {
-			m.HelloResp = &HelloResp{Codec: d.byte()}
 		}
 	case KindMetricsResp:
 		if d.bool() {

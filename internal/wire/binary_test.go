@@ -106,8 +106,6 @@ func sampleMessages() []*Message {
 				Snap: telemetry.MetricsSnapshot{Schema: telemetry.MetricsSchemaVersion,
 					Stats: []telemetry.Stat{{Name: "pgrid_rpc_served_total", Value: 3}}}}},
 			{Kind: KindError, From: 23, Error: "no such handler"}}}},
-		{Kind: KindHello, From: 24, Hello: &HelloReq{MaxCodec: BinaryVersion}},
-		{Kind: KindHelloResp, From: 25, HelloResp: &HelloResp{Codec: BinaryVersion}},
 		{Kind: KindMetrics, From: 26},
 		{Kind: KindMetricsResp, From: 27, MetricsResp: &MetricsResp{Snap: snap}},
 		{Kind: KindMetricsResp, From: 27, MetricsResp: &MetricsResp{Snap: snapV1}}, // pre-history peer
@@ -151,7 +149,7 @@ func TestBinaryCoversAllKinds(t *testing.T) {
 		seen[m.Kind] = true
 	}
 	for k := KindQuery; k <= KindRepairResp; k++ {
-		if k == 15 { // reserved
+		if k == 15 || k == 22 || k == 23 { // reserved
 			continue
 		}
 		if !seen[k] {
@@ -182,8 +180,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 // TestBinaryGobFlagRoundTrip sends each sample as a FlagGob frame: binary
-// framing, gob payload — the negotiated fallback for payloads (or peers)
-// the binary body format cannot serve.
+// framing, gob payload — the escape hatch for a payload the binary body
+// format cannot serve.
 func TestBinaryGobFlagRoundTrip(t *testing.T) {
 	for _, m := range sampleMessages() {
 		var buf bytes.Buffer
@@ -234,10 +232,9 @@ func equivalent(t *testing.T, kind Kind, a, b *Message) {
 }
 
 // TestCrossCodecGoldenVectors is the compat contract: every message kind
-// encoded by the legacy gob codec decodes identically through the binary
-// transport's fallback read path (ReadAuto sniffing), and every binary
-// frame is invisible to that same path's gob branch. A mixed-codec
-// community depends on exactly this.
+// encoded by the legacy gob codec decodes identically through the
+// sniffing reader (ReadAuto), and every binary frame is invisible to that
+// same reader's gob branch: the two codecs carry the same messages.
 func TestCrossCodecGoldenVectors(t *testing.T) {
 	for _, m := range sampleMessages() {
 		// gob encoding → auto reader (fallback path).
@@ -793,8 +790,8 @@ func TestBinaryPathPadding(t *testing.T) {
 	}
 }
 
-// TestIsBinaryFrame pins the sniffing invariant the whole negotiation
-// scheme rests on: a gob frame's first byte can never equal the magic.
+// TestIsBinaryFrame pins the sniffing invariant the server's first-byte
+// check rests on: a gob frame's first byte can never equal the magic.
 func TestIsBinaryFrame(t *testing.T) {
 	var gobBuf bytes.Buffer
 	if err := WriteMessage(&gobBuf, &Message{Kind: KindInfo, From: 1}); err != nil {
@@ -856,6 +853,18 @@ func FuzzReadFrame(f *testing.F) {
 		buf.Reset()
 		if err := WriteFrame(&buf, 4, FlagGob|FlagResponse, m); err == nil {
 			f.Add(buf.Bytes())
+		}
+	}
+	// Frames whose header carries a reserved kind, 22 or 23 (the retired
+	// hello), with a binary and with a gob payload.
+	for _, k := range []Kind{22, 23} {
+		for _, flags := range []uint8{0, FlagGob | FlagResponse} {
+			var buf bytes.Buffer
+			if err := WriteFrame(&buf, 5, flags, &Message{Kind: KindInfo}); err == nil {
+				frame := buf.Bytes()
+				frame[3] = byte(k) // the header's kind byte
+				f.Add(frame)
+			}
 		}
 	}
 	f.Add([]byte{})

@@ -1,9 +1,12 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
+	"io"
 	"testing"
 
 	"pgrid/internal/addr"
@@ -174,49 +177,48 @@ func TestTracesRoundTrip(t *testing.T) {
 }
 
 // TestKindNumbering pins the wire numbering: kinds are append-only and
-// requests stay even, so mixed-version peers agree on every value.
+// requests stay even, so mixed-version peers agree on every value. Retired
+// kinds keep their slots as reserved blanks.
 func TestKindNumbering(t *testing.T) {
-	if KindError != 14 {
-		t.Fatalf("KindError = %d, renumbering breaks old peers", KindError)
+	kinds := []struct {
+		k    Kind
+		name string
+	}{
+		{KindQuery, "query"}, {KindQueryResp, "query-resp"},
+		{KindExchange, "exchange"}, {KindExchangeResp, "exchange-resp"},
+		{KindApply, "apply"}, {KindApplyResp, "apply-resp"},
+		{KindGet, "get"}, {KindGetResp, "get-resp"},
+		{KindInfo, "info"}, {KindInfoResp, "info-resp"},
+		{KindScan, "scan"}, {KindScanResp, "scan-resp"},
+		{KindStats, "stats"}, {KindStatsResp, "stats-resp"},
+		{KindError, "error"}, {15, "kind(15)"},
+		{KindTraces, "traces"}, {KindTracesResp, "traces-resp"},
+		{KindHealth, "health"}, {KindHealthResp, "health-resp"},
+		{KindBatch, "batch"}, {KindBatchResp, "batch-resp"},
+		{22, "kind(22)"}, {23, "kind(23)"}, // the retired codec-negotiation hello
+		{KindMetrics, "metrics"}, {KindMetricsResp, "metrics-resp"},
+		{KindHistory, "history"}, {KindHistoryResp, "history-resp"},
+		{KindRepair, "repair"}, {KindRepairResp, "repair-resp"},
 	}
-	if KindTraces != 16 || KindTracesResp != 17 {
-		t.Fatalf("KindTraces = %d/%d, want 16/17", KindTraces, KindTracesResp)
+	for n, c := range kinds {
+		if int(c.k) != n || c.k.String() != c.name {
+			t.Errorf("kind %q = %d (named %q), want %d", c.name, c.k, c.k.String(), n)
+		}
 	}
-	if KindHealth != 18 || KindHealthResp != 19 {
-		t.Fatalf("KindHealth = %d/%d, want 18/19", KindHealth, KindHealthResp)
-	}
-	if KindHealth%2 != 0 {
-		t.Fatal("KindHealth is odd: requests must stay even")
-	}
-	if KindHealth.String() != "health" || KindHealthResp.String() != "health-resp" {
-		t.Fatalf("kind names: %v %v", KindHealth, KindHealthResp)
-	}
-	if KindMetrics != 24 || KindMetricsResp != 25 {
-		t.Fatalf("KindMetrics = %d/%d, want 24/25", KindMetrics, KindMetricsResp)
-	}
-	if KindMetrics%2 != 0 {
-		t.Fatal("KindMetrics is odd: requests must stay even")
-	}
-	if KindMetrics.String() != "metrics" || KindMetricsResp.String() != "metrics-resp" {
-		t.Fatalf("kind names: %v %v", KindMetrics, KindMetricsResp)
-	}
-	if KindHistory != 26 || KindHistoryResp != 27 {
-		t.Fatalf("KindHistory = %d/%d, want 26/27", KindHistory, KindHistoryResp)
-	}
-	if KindHistory%2 != 0 {
-		t.Fatal("KindHistory is odd: requests must stay even")
-	}
-	if KindHistory.String() != "history" || KindHistoryResp.String() != "history-resp" {
-		t.Fatalf("kind names: %v %v", KindHistory, KindHistoryResp)
-	}
-	if KindRepair != 28 || KindRepairResp != 29 {
-		t.Fatalf("KindRepair = %d/%d, want 28/29", KindRepair, KindRepairResp)
-	}
-	if KindRepair%2 != 0 {
-		t.Fatal("KindRepair is odd: requests must stay even")
-	}
-	if KindRepair.String() != "repair" || KindRepairResp.String() != "repair-resp" {
-		t.Fatalf("kind names: %v %v", KindRepair, KindRepairResp)
+	// The codec has no body for a reserved kind in either direction.
+	for _, k := range []Kind{22, 23} {
+		if err := WriteFrame(io.Discard, 0, 0, &Message{Kind: k}); !errors.Is(err, ErrUnknownKind) {
+			t.Errorf("encoding reserved kind %d = %v, want ErrUnknownKind", k, err)
+		}
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, 0, 0, &Message{Kind: KindInfo}); err != nil {
+			t.Fatal(err)
+		}
+		frame := buf.Bytes()
+		frame[3] = byte(k) // the header's kind byte
+		if _, _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame))); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("decoding reserved kind %d = %v, want ErrCorrupt", k, err)
+		}
 	}
 }
 

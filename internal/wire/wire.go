@@ -53,8 +53,8 @@ const (
 	KindHealthResp
 	KindBatch
 	KindBatchResp
-	KindHello
-	KindHelloResp
+	_ // reserved: the retired codec-negotiation hello
+	_ // reserved: the retired hello response
 	KindMetrics
 	KindMetricsResp
 	KindHistory
@@ -70,7 +70,7 @@ var kindNames = [...]string{"query", "query-resp", "exchange", "exchange-resp",
 	"apply", "apply-resp", "get", "get-resp", "info", "info-resp",
 	"scan", "scan-resp", "stats", "stats-resp", "error", "kind(15)",
 	"traces", "traces-resp", "health", "health-resp",
-	"batch", "batch-resp", "hello", "hello-resp",
+	"batch", "batch-resp", "kind(22)", "kind(23)",
 	"metrics", "metrics-resp", "history", "history-resp",
 	"repair", "repair-resp"}
 
@@ -112,8 +112,6 @@ type Message struct {
 	HealthResp   *HealthResp
 	Batch        *BatchReq
 	BatchResp    *BatchResp
-	Hello        *HelloReq
-	HelloResp    *HelloResp
 	MetricsResp  *MetricsResp
 	History      *HistoryReq
 	HistoryResp  *HistoryResp
@@ -346,23 +344,6 @@ type BatchReq struct {
 // in its slot; the batch as a whole still succeeds.
 type BatchResp struct {
 	Msgs []Message
-}
-
-// HelloReq opens codec negotiation on a fresh connection: the dialer
-// announces the highest binary codec version it speaks. Peers that predate
-// the binary codec never see a well-formed hello (the frame header does not
-// parse as a gob length prefix), drop the connection, and the dialer falls
-// back to the gob codec — see ReadFrame and the transport negotiation in
-// internal/node.
-type HelloReq struct {
-	MaxCodec uint8
-}
-
-// HelloResp accepts the negotiation: the receiver picks
-// min(HelloReq.MaxCodec, BinaryVersion) and both sides speak that framing
-// for the life of the connection.
-type HelloResp struct {
-	Codec uint8
 }
 
 // InfoResp describes the receiver's current state (used by diagnostics and
